@@ -43,6 +43,14 @@ class _Configurable:
         return [spec.describe() for spec in cls.OPTIONS]
 
 
+def _row_indices(indices: Iterable[int]) -> np.ndarray:
+    """*indices* as an ``intp`` array for one numpy gather: no copy for
+    an integer array, one C-level conversion for a list."""
+    if not isinstance(indices, (np.ndarray, list, tuple, range)):
+        indices = list(indices)
+    return np.asarray(indices, dtype=np.intp)
+
+
 class Classifier(_Configurable):
     """A supervised learner over a dataset with a nominal class attribute.
 
@@ -125,8 +133,7 @@ class Classifier(_Configurable):
             # an index selection is one numpy gather, never a row loop
             matrix = dataset.to_matrix()
             if indices is not None:
-                matrix = matrix[np.fromiter((int(i) for i in indices),
-                                            dtype=np.intp)]
+                matrix = matrix[_row_indices(indices)]
             if matrix.shape[0] == 0:
                 return np.empty((0, n_classes))
             raw = np.asarray(hook(matrix), dtype=float)
@@ -262,8 +269,7 @@ class Clusterer(_Configurable):
         if hook is not None:
             matrix = dataset.to_matrix()
             if indices is not None:
-                matrix = matrix[np.fromiter((int(i) for i in indices),
-                                            dtype=np.intp)]
+                matrix = matrix[_row_indices(indices)]
             if matrix.shape[0] == 0:
                 return []
             return [int(c) for c in np.asarray(hook(matrix))]

@@ -298,29 +298,41 @@ def bulk_score(classifier: "Classifier", dataset: Dataset,
     service operation exactly as a sequence of single calls would
     report them.
     """
-    requested = list(range(dataset.num_instances)) if rows is None \
-        else [int(r) for r in rows]
     n = dataset.num_instances
-    valid_positions, valid_rows, errors = [], [], []
-    for position, row in enumerate(requested):
-        if 0 <= row < n:
-            valid_positions.append(position)
-            valid_rows.append(row)
-        else:
-            errors.append([position,
-                           f"row index {row} out of range for "
-                           f"{n} instance(s)"])
-    labels_out: list = [None] * len(requested)
-    dists_out: list = [None] * len(requested)
-    if valid_rows:
-        dists = classifier.distribution_many(dataset, valid_rows)
-        values = classifier.header.class_attribute.values
-        picks = np.argmax(dists, axis=1)
-        for position, dist, pick in zip(valid_positions, dists, picks):
-            labels_out[position] = values[int(pick)]
-            dists_out[position] = [float(p) for p in dist]
-    return {"labels": labels_out, "distributions": dists_out,
-            "errors": errors, "scored": len(valid_rows)}
+    if rows is None:
+        # every row, in order: the kernel reads the store's matrix as is
+        total, indices, bad = n, None, np.empty(0, dtype=np.intp)
+    else:
+        try:
+            requested = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
+            # beyond int64 is out of range for any dataset: clip so the
+            # range check below reports it
+            requested = np.asarray([min(max(int(r), -1), n) for r in rows],
+                                   dtype=np.int64)
+        if requested.ndim != 1:
+            raise DataError("rows must be a flat list of row indices")
+        total = len(requested)
+        valid = (requested >= 0) & (requested < n)
+        bad = np.flatnonzero(~valid)
+        indices = requested[valid] if bad.size else requested
+    errors = [[pos, f"row index {int(rows[pos])} out of range for "
+                    f"{n} instance(s)"] for pos in bad.tolist()]
+    dists = classifier.distribution_many(dataset, indices)
+    labels = np.asarray(classifier.header.class_attribute.values,
+                        dtype=object).take(np.argmax(dists, axis=1))
+    distributions = dists.tolist()
+    if errors:
+        # None at the error positions, the scored rows in order elsewhere
+        keep = np.ones(total, dtype=bool)
+        keep[bad] = False
+        spread = np.full((2, total), None, dtype=object)
+        spread[0, keep] = labels
+        spread[1, keep] = np.fromiter(distributions, dtype=object,
+                                      count=len(distributions))
+        labels, distributions = spread[0], spread[1].tolist()
+    return {"labels": labels.tolist(), "distributions": distributions,
+            "errors": errors, "scored": len(dists)}
 
 
 def cross_validate(make_classifier, dataset: Dataset, k: int = 10,

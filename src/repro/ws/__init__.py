@@ -26,12 +26,13 @@ from repro.ws.registry import RegistryEntry, RegistryService, UDDIRegistry
 from repro.ws.transport import (LAN, WAN, ChainedTransport,
                                 FailingTransport, InProcessTransport,
                                 NetworkModel, SimulatedTransport,
-                                Transport, apply_deadline)
+                                Transport)
 from repro.ws import pipeline
 from repro.ws.pipeline import (CallContext, ClientInterceptor,
                                DispatchContext, ServerHandler,
-                               chain_insert_after, chain_insert_before,
-                               chain_names, chain_without,
+                               apply_deadline, chain_insert_after,
+                               chain_insert_before, chain_names,
+                               chain_without,
                                default_proxy_interceptors,
                                default_server_handlers,
                                default_transport_interceptors)

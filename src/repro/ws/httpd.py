@@ -36,7 +36,7 @@ from urllib.parse import urlparse
 from repro.errors import ServiceError
 from repro.ws import shm, wsdl
 from repro.ws.container import ServiceContainer
-from repro.ws.pipeline import HttpGateway
+from repro.ws.pipeline import HttpGateway, content_length
 from repro.ws.soap import SoapFault
 
 
@@ -106,7 +106,13 @@ class _Handler(BaseHTTPRequestHandler):
         if name is None:
             self._send(404, b"not found", "text/plain")
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        length = content_length(self.headers.get("Content-Length"))
+        if length is None:
+            # the body's extent is unknown, so the connection cannot
+            # carry another request either
+            self.close_connection = True
+            self._send(400, b"malformed Content-Length", "text/plain")
+            return
         raw = self.rfile.read(length)
         status, body, content_type, encoding = self.gateway.post(
             name, raw,

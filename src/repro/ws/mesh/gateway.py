@@ -31,7 +31,8 @@ from repro.ws.deadline import deadline_scope
 from repro.ws.mesh.endpoints import RegistryEndpoints
 from repro.ws.mesh.router import MeshRoute, MeshRouter
 from repro.ws.pipeline import (CallContext, CallMetrics, CallTrace,
-                               HttpGateway, ProxyDeadline, run_chain)
+                               HttpGateway, ProxyDeadline, content_length,
+                               run_chain)
 from repro.ws.soap import SoapRequest, SoapResponse
 
 
@@ -152,7 +153,13 @@ class _MeshHandler(BaseHTTPRequestHandler):
         if name is None:
             self._send(404, b"not found", "text/plain")
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        length = content_length(self.headers.get("Content-Length"))
+        if length is None:
+            # the body's extent is unknown, so the connection cannot
+            # carry another request either
+            self.close_connection = True
+            self._send(400, b"malformed Content-Length", "text/plain")
+            return
         raw = self.rfile.read(length)
         status, body, content_type, encoding = self.gateway.post(
             name, raw,

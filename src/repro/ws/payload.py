@@ -53,6 +53,7 @@ import gzip
 import hashlib
 import os
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,6 +71,12 @@ MIN_REF_BYTES = 1024
 #: SOAP bodies above this size are gzip-compressed on negotiating
 #: transports (and billed compressed by the simulated network).
 COMPRESS_MIN_BYTES = 2048
+
+#: A gzip body inflating past this many bytes is refused
+#: (:class:`TransportError`, answered 400 by the HTTP gateway) rather
+#: than buffered: the largest legitimate body, a payload-store-sized
+#: dataset inline, stays well below it.
+MAX_INFLATED_BYTES = 256 * 1024 * 1024
 
 #: Bounds of the process-global payload store.
 STORE_MAX_ENTRIES = 256
@@ -524,10 +531,17 @@ def decompress(body: bytes, content_encoding: str | None) -> bytes:
     if content_encoding.lower() != "gzip":
         raise TransportError(
             f"unsupported Content-Encoding {content_encoding!r}")
+    inflater = zlib.decompressobj(wbits=31)  # gzip framing
     try:
-        return gzip.decompress(body)
-    except OSError as exc:
+        out = inflater.decompress(body, MAX_INFLATED_BYTES + 1)
+    except zlib.error as exc:
         raise TransportError(f"corrupt gzip body: {exc}") from exc
+    if len(out) > MAX_INFLATED_BYTES:
+        raise TransportError(
+            f"gzip body inflates past {MAX_INFLATED_BYTES} bytes")
+    if not inflater.eof or inflater.unused_data:
+        raise TransportError("corrupt gzip body: truncated or trailing data")
+    return out
 
 
 def simulated_wire_size(body: bytes) -> int:

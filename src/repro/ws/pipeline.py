@@ -49,6 +49,7 @@ import contextvars
 import copy
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
@@ -944,6 +945,20 @@ def default_server_handlers() -> list[ServerHandler]:
 
 
 # -- server HTTP gateway -----------------------------------------------------
+
+_LENGTH_OK = re.compile(r"[0-9]{1,18}")
+
+
+def content_length(value: str | None) -> int | None:
+    """The body length a request's ``Content-Length`` header declares
+    (0 when absent), or ``None`` when it is not a decimal count.
+
+    The threaded front doors answer ``None`` with 400: handing a
+    negative length to ``rfile.read`` would read to EOF and pin the
+    handler thread."""
+    value = "0" if value is None else value.strip()
+    return int(value) if _LENGTH_OK.fullmatch(value) else None
+
 
 class HttpGateway:
     """The policy half of SOAP-over-HTTP hosting.

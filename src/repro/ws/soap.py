@@ -11,6 +11,18 @@ Typing uses XML-Schema primitives (``xsd:string``/``int``/``double``/
 ``boolean``), ``xsd:base64Binary`` for byte payloads and a toolkit extension
 type ``repro:json`` for structured values (option lists, tree graphs), which
 the 2005 toolkit would have modelled as nested complex types.
+
+Large float matrices — a ``list`` whose items are each ``None`` or a
+``list`` of the same number of ``float`` objects, with at least
+:data:`FLOAT_MATRIX_MIN_FLOATS` floats in all — travel as one
+``repro:floatMatrix`` element instead: ``rows``/``cols``/``missing``
+attributes (``missing`` lists the ``None`` positions) and base64
+little-endian IEEE-754 doubles as text.  A dict with identifier keys that
+holds such a list directly becomes a ``repro:struct`` element with one
+typed child per key — the nested complex type, for the values where JSON
+text costs most.  Both decode to exactly the value encoded, types
+included; anything else (ints, bools, float subclasses, ragged rows,
+non-identifier keys, small matrices) stays ``repro:json``.
 """
 
 from __future__ import annotations
@@ -20,7 +32,10 @@ import json
 import re as _re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.errors import DeadlineExceeded, OverloadedError, ServiceError
 from repro.ws import payload
@@ -53,6 +68,18 @@ ET.register_namespace("xsi", XSI_NS)
 ET.register_namespace("repro", REPRO_NS)
 
 
+#: A float matrix with at least this many floats travels as one
+#: ``repro:floatMatrix`` element; below it, JSON text encodes and
+#: decodes faster than the typed element's pack, base64 and attribute
+#: overhead.  Set from the measured crossover (EXPERIMENTS.md
+#: §PERF-FLOATMATRIX), with ``Math.tabulate``-sized tables (tens of
+#: floats) kept on JSON.
+FLOAT_MATRIX_MIN_FLOATS = 64
+
+_F8 = np.dtype("<f8")
+_COUNT_OK = _re.compile(r"[0-9]{1,18}")
+
+
 def _qname(ns: str, local: str) -> str:
     return f"{{{ns}}}{local}"
 
@@ -71,6 +98,43 @@ def _check_name(name: str, what: str) -> str:
         raise ServiceError(f"invalid {what} name {name!r} "
                            f"(must be an identifier)")
     return name
+
+
+def _float_matrix(value: list) -> tuple[list, list[int], int] | None:
+    """``(present rows, missing positions, cols)`` when *value* qualifies
+    for the ``repro:floatMatrix`` element, else ``None``.
+
+    Only exact types qualify — every item ``None`` or a ``list`` of the
+    same number of ``float`` objects — so the decoded value is always
+    the encoded one, types included."""
+    kinds = set(map(type, value))
+    if kinds == {list}:
+        present, missing = value, []
+    elif kinds == {list, type(None)}:
+        present = [row for row in value if row is not None]
+        missing = [i for i, row in enumerate(value) if row is None]
+    else:
+        return None
+    widths = set(map(len, present))
+    if len(widths) != 1:
+        return None
+    (cols,) = widths
+    if len(present) * cols < FLOAT_MATRIX_MIN_FLOATS:
+        return None
+    if set(map(type, chain.from_iterable(present))) != {float}:
+        return None
+    return present, missing, cols
+
+
+def _set_float_matrix(el: ET.Element, rows: int, present: list,
+                      missing: list[int], cols: int) -> None:
+    el.set(_qname(XSI_NS, "type"), "repro:floatMatrix")
+    el.set("rows", str(rows))
+    el.set("cols", str(cols))
+    if missing:
+        el.set("missing", " ".join(map(str, missing)))
+    el.text = base64.b64encode(
+        np.array(present, dtype=_F8).tobytes()).decode("ascii")
 
 
 def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
@@ -115,32 +179,116 @@ def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
         el.set(type_attr, "xsd:base64Binary")
         el.text = base64.b64encode(value).decode("ascii")
     elif isinstance(value, (dict, list, tuple)):
-        el.set(type_attr, "repro:json")
-        el.text = json.dumps(value)
+        _encode_structured(el, value)
     else:
         raise ServiceError(
             f"cannot encode value of type {type(value).__name__} "
             f"for parameter {name!r}")
 
 
+def _encode_structured(el: ET.Element, value: dict | list | tuple) -> None:
+    """A float matrix, a struct holding one, or ``repro:json`` text."""
+    if type(value) is list:
+        matrix = _float_matrix(value)
+        if matrix is not None:
+            _set_float_matrix(el, len(value), *matrix)
+            return
+    elif type(value) is dict and all(
+            type(key) is str and _NAME_OK.match(key) for key in value):
+        matrices = {key: _float_matrix(item)
+                    for key, item in value.items() if type(item) is list}
+        if any(m is not None for m in matrices.values()):
+            el.set(_qname(XSI_NS, "type"), "repro:struct")
+            for key, item in value.items():
+                matrix = matrices.get(key)
+                if matrix is None:
+                    _encode_value(el, key, item)
+                else:
+                    _set_float_matrix(ET.SubElement(el, key), len(item),
+                                      *matrix)
+            return
+    el.set(_qname(XSI_NS, "type"), "repro:json")
+    el.text = json.dumps(value)
+
+
+def _count(text: str, what: str) -> int:
+    if not _COUNT_OK.fullmatch(text):
+        raise ServiceError(
+            f"floatMatrix {what} must be a non-negative integer, "
+            f"got {text[:32]!r}")
+    return int(text)
+
+
+def _decode_float_matrix(el: ET.Element, text: str) -> list:
+    """Rebuild the list :func:`_set_float_matrix` encoded.
+
+    The attributes are untrusted: the buffer must hold exactly the
+    present rows, missing positions must be strictly increasing and in
+    range, and nothing is allocated from a declared size alone — the
+    output has one row per 8*cols buffer bytes plus one ``None`` per
+    listed position."""
+    rows = _count(el.get("rows", ""), "rows")
+    cols = _count(el.get("cols", ""), "cols")
+    missing = [_count(p, "missing position")
+               for p in el.get("missing", "").split()]
+    if cols == 0:
+        raise ServiceError("floatMatrix cols must be positive")
+    if any(b <= a for a, b in zip(missing, missing[1:])) \
+            or (missing and missing[-1] >= rows):
+        raise ServiceError("floatMatrix missing positions must be "
+                           "strictly increasing and below rows")
+    present = rows - len(missing)
+    try:
+        buf = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ServiceError(f"malformed floatMatrix data: {exc}") from exc
+    if len(buf) != present * cols * _F8.itemsize:
+        raise ServiceError(
+            f"floatMatrix data holds {len(buf)} bytes, expected "
+            f"{present} x {cols} doubles")
+    data = np.frombuffer(buf, dtype=_F8).reshape(present, cols).tolist() \
+        if present else []
+    if not missing:
+        return data
+    out = np.full(rows, None, dtype=object)
+    keep = np.ones(rows, dtype=bool)
+    keep[missing] = False
+    out[keep] = np.fromiter(data, dtype=object, count=present)
+    return out.tolist()
+
+
+def _decode_struct(el: ET.Element) -> dict:
+    out = {child.tag.rsplit("}", 1)[-1]: _decode_value(child)
+           for child in el}
+    if len(out) != len(el):
+        raise ServiceError("struct element repeats a member name")
+    return out
+
+
 def _decode_value(el: ET.Element) -> Any:
     if el.get(_qname(XSI_NS, "nil")) == "true":
         return None
-    type_attr = el.get(_qname(XSI_NS, "type"), "xsd:string")
+    # dispatch on the exact local name: a suffix test would read a
+    # type such as "repro:floatMatrix" as whatever it happens to end in
+    local = el.get(_qname(XSI_NS, "type"), "xsd:string").rsplit(":", 1)[-1]
     text = el.text or ""
-    if type_attr.endswith("boolean"):
+    if local == "boolean":
         return text.strip().lower() == "true"
-    if type_attr.endswith("int"):
+    if local == "int":
         return int(text)
-    if type_attr.endswith("double"):
+    if local == "double":
         return float(text)
-    if type_attr.endswith("base64Binary"):
+    if local == "base64Binary":
         return base64.b64decode(text)
-    if type_attr.endswith("stringb64"):
+    if local == "stringb64":
         return base64.b64decode(text).decode("utf-8", "surrogatepass")
-    if type_attr.endswith("json"):
+    if local == "json":
         return json.loads(text) if text else None
-    if type_attr.endswith("payloadRef"):
+    if local == "floatMatrix":
+        return _decode_float_matrix(el, text)
+    if local == "struct":
+        return _decode_struct(el)
+    if local == "payloadRef":
         return payload.resolve(el.get("digest", ""),
                                el.get("kind", "str"),
                                el.get("via", ""))

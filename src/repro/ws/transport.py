@@ -746,9 +746,3 @@ class FailingTransport(Transport):
     def close(self) -> None:
         self.inner.close()
 
-
-# Backwards-compatible re-exports: these helpers lived here before the
-# handler-chain refactor moved them into the policy layer.
-from repro.ws.pipeline import (apply_deadline, payload_fallback,  # noqa: E402,F401
-                               record_transport_metrics,
-                               stamp_trace_context)

@@ -33,7 +33,7 @@ def test_expected_jobs_present(workflow):
                                      "bench-smoke", "serving-load",
                                      "experiment-resume",
                                      "columnar-bench", "mesh-drill",
-                                     "ipc-bench"}
+                                     "ipc-bench", "perfbench-smoke"}
 
 
 def test_concurrency_cancels_superseded_runs(workflow):
@@ -184,6 +184,25 @@ def test_ipc_bench_job_gates_and_uploads_the_report(workflow):
                   if "upload-artifact" in step.get("uses", ""))
     assert upload["with"]["name"] == "ipc-bench"
     assert "BENCH_ipc.json" in upload["with"]["path"]
+    assert upload["with"]["if-no-files-found"] == "error"
+
+
+def test_perfbench_smoke_job_runs_every_workload(workflow):
+    """The repository benchmark runs briefly on every workload in CI:
+    ``perfbench/run.py`` exits 1 on a wrong answer or a leaked worker or
+    segment, ``pipefail`` keeps that exit through ``tee``, and the
+    result lines land as the ``perfbench-smoke`` artifact."""
+    job = workflow["jobs"]["perfbench-smoke"]
+    text = steps_text(job)
+    assert "set -o pipefail" in text
+    assert "for workload in rpc_small bulk_score case_study" in text
+    assert "python3 perfbench/run.py --workload" in text
+    for flag in ("--seed 1", "--seconds 5", "--trace 0"):
+        assert flag in text, flag
+    upload = next(step for step in job["steps"]
+                  if "upload-artifact" in step.get("uses", ""))
+    assert upload["with"]["name"] == "perfbench-smoke"
+    assert "perfbench-results" in upload["with"]["path"]
     assert upload["with"]["if-no-files-found"] == "error"
 
 

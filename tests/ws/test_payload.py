@@ -6,9 +6,11 @@ full-payload fallback after a peer miss, gzip negotiation against a
 non-compressing peer, and corrupt-ref rejection under chaos.
 """
 
+import gzip
 import hashlib
 import random
 import string
+import tracemalloc
 
 import pytest
 
@@ -22,10 +24,10 @@ from repro.ws.container import ServiceContainer
 from repro.ws.httpd import SoapHttpServer
 from repro.ws.payload import (PayloadMissError, PayloadRef, PayloadStore,
                               payload_digest_ok)
+from repro.ws.pipeline import HttpGateway, payload_fallback
 from repro.ws.service import operation
 from repro.ws.soap import SoapRequest
-from repro.ws.transport import (InProcessTransport, SimulatedTransport,
-                                payload_fallback)
+from repro.ws.transport import InProcessTransport, SimulatedTransport
 
 # a large, high-entropy document: well above MIN_REF_BYTES, and barely
 # compressible, so ref-sized envelopes beat even gzipped inline sends
@@ -281,6 +283,37 @@ class TestGzipNegotiation:
     def test_decompress_rejects_corrupt_gzip(self):
         with pytest.raises(TransportError):
             payload.decompress(b"not gzip at all", "gzip")
+
+    def test_decompress_rejects_truncated_gzip(self):
+        body = gzip.compress(BIG.encode())
+        with pytest.raises(TransportError):
+            payload.decompress(body[:-10], "gzip")
+
+    def test_decompress_stops_at_the_inflate_bound(self, monkeypatch):
+        """A small body that inflates past the bound is refused without
+        inflating it all; a body at the bound still passes."""
+        monkeypatch.setattr(payload, "MAX_INFLATED_BYTES", 64 * 1024)
+        bomb = gzip.compress(b"\0" * (8 * 1024 * 1024))
+        assert len(bomb) < 16 * 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError, match="inflates past"):
+                payload.decompress(bomb, "gzip")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024, peak
+        exact = b"\1" * (64 * 1024)
+        assert payload.decompress(gzip.compress(exact), "gzip") == exact
+
+    def test_gateway_answers_a_gzip_bomb_with_400(self, monkeypatch):
+        monkeypatch.setattr(payload, "MAX_INFLATED_BYTES", 64 * 1024)
+        container = ServiceContainer()
+        container.deploy(Echo, "Echo")
+        bomb = gzip.compress(b" " * (1024 * 1024))
+        status, body, _, _ = HttpGateway(container).post(
+            "Echo", bomb, content_encoding="gzip")
+        assert status == 400 and b"inflates past" in body
 
 
 class TestChaosCorruptRef:
